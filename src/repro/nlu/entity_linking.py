@@ -16,7 +16,7 @@ from typing import Any
 from repro.db.database import Database
 from repro.db.types import DataType, TypeMismatchError, coerce, render
 from repro.db.versioncache import VersionStampedCache
-from repro.nlu.textmatch import best_match
+from repro.nlu.textmatch import MatchIndex, best_match
 from repro.synthesis.templates import SlotVocabulary
 
 __all__ = ["LinkedValue", "EntityLinker"]
@@ -28,6 +28,8 @@ _RELATIVE_DAYS = {
     "tomorrow": 1,
     "day after tomorrow": 2,
 }
+# Longest first, so "day after tomorrow" wins over "tomorrow".
+_RELATIVE_PHRASES = tuple(sorted(_RELATIVE_DAYS, key=len, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,10 @@ class EntityLinker:
         self._vocabulary = vocabulary
         self._fuzzy_threshold = fuzzy_threshold
         self.reference_date = reference_date
-        # slot -> canonical values; version-stamped like the other
-        # shared caches, since one linker serves every concurrent
-        # session and must see committed inserts (a newly added movie
-        # title must become linkable).
+        # slot -> MatchIndex over the canonical values; version-stamped
+        # like the other shared caches, since one linker serves every
+        # concurrent session and must see committed inserts (a newly
+        # added movie title must become linkable).
         self._text_pools = VersionStampedCache(database)
 
     def link(self, slot: str, raw: str) -> LinkedValue | None:
@@ -89,7 +91,7 @@ class EntityLinker:
         """Resolve "today"/"tonight"/"tomorrow" against the reference date."""
         base = self.reference_date or _dt.date.today()
         lowered = raw.strip().lower()
-        for phrase in sorted(_RELATIVE_DAYS, key=len, reverse=True):
+        for phrase in _RELATIVE_PHRASES:
             if phrase in lowered:
                 return base + _dt.timedelta(days=_RELATIVE_DAYS[phrase])
         return None
@@ -108,10 +110,10 @@ class EntityLinker:
         return LinkedValue(slot=slot, raw=raw, value=value, score=score,
                            corrected=corrected)
 
-    def _text_pool(self, slot: str) -> list[str]:
+    def _text_pool(self, slot: str) -> MatchIndex:
         return self._text_pools.lookup(slot, lambda: self._build_pool(slot))
 
-    def _build_pool(self, slot: str) -> list[str]:
+    def _build_pool(self, slot: str) -> MatchIndex:
         source = self._vocabulary.source(slot)
         assert source.attribute is not None
         table = source.attribute.table
@@ -133,7 +135,7 @@ class EntityLinker:
             for group in statement.execute()
             if group[column] is not None
         }
-        return sorted(values)
+        return MatchIndex(sorted(values))
 
     def invalidate(self) -> None:
         """Drop cached value pools (they also refresh automatically when

@@ -115,9 +115,8 @@ class IntentClassifier:
     def predict(self, text: str) -> IntentPrediction:
         probabilities = self.predict_proba([text])[0]
         order = np.argsort(-probabilities)
-        ranking = [
-            (self.labels[i], float(probabilities[i])) for i in order
-        ]
+        labels = self._labels
+        ranking = [(labels[i], float(probabilities[i])) for i in order]
         return IntentPrediction(ranking)
 
     def accuracy(self, dataset: NLUDataset) -> float:

@@ -1,16 +1,31 @@
 """Slot filling: averaged structured perceptron over BIO tags.
 
-A classic, dependency-free sequence labeller: hand-crafted per-token
-features (word identity, shape, affixes, context window) scored against
-label weights plus first-order transition weights, decoded with Viterbi
-and trained with averaged perceptron updates.  This is the from-scratch
-equivalent of the CRF-style slot filler RASA trains.
+A classic sequence labeller: hand-crafted per-token features (word
+identity, shape, affixes, context window) scored against label weights
+plus first-order transition weights, decoded with Viterbi and trained
+with averaged perceptron updates.  This is the from-scratch equivalent
+of the CRF-style slot filler RASA trains.
+
+Weights live in compiled form: each feature owns a per-label row and the
+transitions form an (L+1)×L matrix whose last row scores the sentence
+start.  One decoder (:func:`_decode`, a max-plus recurrence with
+first-index argmax, i.e. the earliest label wins a tie) serves training
+and tagging.  Tagging folds a token's emission per label with the
+builtin ``sum`` over the feature rows in feature order — the exact
+floating-point fold of summing ``weights[(feature, label)]`` lookups —
+from rows compiled once at the end of :meth:`SlotTagger.fit` and never
+mutated afterwards, so concurrent sessions may tag without locking.
+Training works on dense matrices updated in place: perceptron weights
+stay integer-valued until averaging, so its sums are exact in any order.
+The averaged weights are also kept as ``{(feature, label): w}`` and
+``{(previous, label): w}`` dicts (``_weights``/``_transitions``).
 """
 
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+
+import numpy as np
 
 from repro.errors import NLUError, NotFittedError
 from repro.nlu.tokenizer import Token, bio_to_spans, spans_to_bio, tokenize
@@ -77,6 +92,65 @@ def _token_features(
     return features
 
 
+def _decode(emissions: np.ndarray, transitions: np.ndarray) -> list[int]:
+    """Viterbi label-index path for an (n×L) emission matrix.
+
+    ``transitions`` is (L+1)×L: row ``p`` scores ``p -> label`` and the
+    last row scores the sentence start.  Every argmax takes the first
+    maximal index, so ties resolve to the earliest label exactly like a
+    strict ``>`` scan in label order.
+    """
+    # incoming[label, previous]: reducing along the contiguous axis.
+    incoming = np.ascontiguousarray(transitions[:-1].T)
+    labels = np.arange(len(incoming))
+    scores = emissions[0] + transitions[-1]
+    back = []
+    for emission in emissions[1:]:
+        candidates = incoming + scores
+        pointers = candidates.argmax(axis=1)
+        back.append(pointers)
+        scores = candidates[labels, pointers] + emission
+    best = int(scores.argmax())
+    path = [best]
+    for pointers in reversed(back):
+        best = int(pointers[best])
+        path.append(best)
+    path.reverse()
+    return path
+
+
+def _apply_updates(
+    weights: np.ndarray,
+    totals: np.ndarray,
+    stamps: np.ndarray,
+    step: int,
+    keys: np.ndarray,
+    deltas: np.ndarray,
+) -> None:
+    """One step's perceptron updates with lazy averaging bookkeeping.
+
+    Settling a key twice within one step adds ``0 * weight``, so settling
+    each touched key once and then adding every delta is exact.
+    """
+    touched = np.unique(keys)
+    totals[touched] += (step - stamps[touched]) * weights[touched]
+    stamps[touched] = step
+    np.add.at(weights, keys, deltas)
+
+
+def _training_sequence(feature_ids: list[list[int]], gold: list[int]):
+    """(flat feature ids, token start offsets, token of each id, gold
+    label array, gold label list) of one training sentence."""
+    lengths = [len(ids) for ids in feature_ids]
+    return (
+        np.fromiter((f for ids in feature_ids for f in ids), dtype=np.intp),
+        np.cumsum([0] + lengths[:-1], dtype=np.intp),
+        np.repeat(np.arange(len(lengths)), lengths),
+        np.array(gold, dtype=np.intp),
+        gold,
+    )
+
+
 class SlotTagger:
     """Averaged structured perceptron BIO tagger.
 
@@ -97,6 +171,9 @@ class SlotTagger:
         self._labels: list[str] | None = None
         self._weights: dict[tuple[str, str], float] | None = None
         self._transitions: dict[tuple[str, str], float] | None = None
+        # feature -> ((label index, weight), ...) and the (L+1)×L
+        # transition matrix; built once by ``fit``.
+        self._compiled: tuple[dict[str, tuple], np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -108,7 +185,8 @@ class SlotTagger:
     def fit(self, dataset: NLUDataset) -> "SlotTagger":
         if len(dataset) == 0:
             raise NLUError("cannot train on an empty dataset")
-        sequences: list[tuple[list[Token], list[str]]] = []
+        feature_index: dict[str, int] = {}
+        sentences: list[tuple[list[list[int]], list[str]]] = []
         label_set = {_OUTSIDE}
         for example in dataset:
             tokens = tokenize(example.text)
@@ -116,115 +194,121 @@ class SlotTagger:
                 continue
             labels = spans_to_bio(tokens, example.slots)
             label_set.update(labels)
-            sequences.append((tokens, labels))
-        self._labels = sorted(label_set)
+            feature_ids = [
+                [
+                    feature_index.setdefault(feature, len(feature_index))
+                    for feature in _token_features(tokens, i, self.gazetteers)
+                ]
+                for i in range(len(tokens))
+            ]
+            sentences.append((feature_ids, labels))
+        labels = sorted(label_set)
+        label_index = {label: i for i, label in enumerate(labels)}
+        size = len(labels)
+        sequences = [
+            _training_sequence(ids, [label_index[g] for g in gold])
+            for ids, gold in sentences
+        ]
 
-        weights: dict[tuple[str, str], float] = defaultdict(float)
-        transitions: dict[tuple[str, str], float] = defaultdict(float)
-        totals_w: dict[tuple[str, str], float] = defaultdict(float)
-        totals_t: dict[tuple[str, str], float] = defaultdict(float)
-        stamps_w: dict[tuple[str, str], int] = defaultdict(int)
-        stamps_t: dict[tuple[str, str], int] = defaultdict(int)
+        # Flat arrays with 2-D views: key = row * L + label.
+        weights = np.zeros(len(feature_index) * size)
+        transitions = np.zeros((size + 1) * size)
+        totals_w, totals_t = np.zeros_like(weights), np.zeros_like(transitions)
+        stamps_w = np.zeros(weights.shape, dtype=np.int64)
+        stamps_t = np.zeros(transitions.shape, dtype=np.int64)
+        weight_rows = weights.reshape(-1, size)
+        transition_rows = transitions.reshape(size + 1, size)
         step = 0
 
         rng = random.Random(self.seed)
         for __ in range(self.epochs):
             rng.shuffle(sequences)
-            for tokens, gold in sequences:
+            for features, starts, token_of, gold, gold_list in sequences:
                 step += 1
-                predicted = self._viterbi(tokens, weights, transitions)
-                if predicted == gold:
+                # Every token has at least seven features, so no
+                # reduceat segment is empty.
+                emissions = np.add.reduceat(weight_rows[features], starts)
+                predicted = _decode(emissions, transition_rows)
+                if predicted == gold_list:
                     continue
-                previous_gold, previous_pred = _START, _START
-                for i in range(len(tokens)):
-                    if predicted[i] != gold[i]:
-                        for feature in _token_features(tokens, i, self.gazetteers):
-                            _update(weights, totals_w, stamps_w, step,
-                                    (feature, gold[i]), 1.0)
-                            _update(weights, totals_w, stamps_w, step,
-                                    (feature, predicted[i]), -1.0)
-                    gold_edge = (previous_gold, gold[i])
-                    pred_edge = (previous_pred, predicted[i])
-                    if gold_edge != pred_edge:
-                        _update(transitions, totals_t, stamps_t, step,
-                                gold_edge, 1.0)
-                        _update(transitions, totals_t, stamps_t, step,
-                                pred_edge, -1.0)
-                    previous_gold, previous_pred = gold[i], predicted[i]
+                guess = np.array(predicted, dtype=np.intp)
+                wrong = (guess != gold)[token_of]
+                rows = features[wrong] * size
+                at = token_of[wrong]
+                _apply_updates(
+                    weights, totals_w, stamps_w, step,
+                    np.concatenate((rows + gold[at], rows + guess[at])),
+                    np.repeat((1.0, -1.0), len(rows)),
+                )
+                gold_edges = np.append(size, gold[:-1]) * size + gold
+                guess_edges = np.append(size, guess[:-1]) * size + guess
+                differ = gold_edges != guess_edges
+                _apply_updates(
+                    transitions, totals_t, stamps_t, step,
+                    np.concatenate((gold_edges[differ], guess_edges[differ])),
+                    np.repeat((1.0, -1.0), int(differ.sum())),
+                )
 
         # Finalise averaging.
-        for key, weight in weights.items():
-            totals_w[key] += (step - stamps_w[key]) * weight
-        for key, weight in transitions.items():
-            totals_t[key] += (step - stamps_t[key]) * weight
+        totals_w += (step - stamps_w) * weights
+        totals_t += (step - stamps_t) * transitions
         denominator = max(step, 1)
-        self._weights = {k: v / denominator for k, v in totals_w.items() if v}
-        self._transitions = {k: v / denominator for k, v in totals_t.items() if v}
+        averaged_t = (totals_t / denominator).reshape(size + 1, size)
+        averaged_t.flags.writeable = False
+        self._labels = labels
+        self._weights = _as_dict(
+            totals_w / denominator, list(feature_index), labels
+        )
+        self._transitions = _as_dict(averaged_t, labels + [_START], labels)
+        rows: dict[str, list[tuple[int, float]]] = {}
+        for (feature, label), weight in self._weights.items():
+            rows.setdefault(feature, []).append((label_index[label], weight))
+        self._compiled = ({f: tuple(r) for f, r in rows.items()}, averaged_t)
         return self
 
     # ------------------------------------------------------------------
     def tag(self, text: str) -> list[SlotSpan]:
         """Predict character-span slots for ``text``."""
-        if self._weights is None or self._transitions is None:
+        if self._compiled is None:
             raise NotFittedError("slot tagger is not trained")
+        rows, transitions = self._compiled
         tokens = tokenize(text)
         if not tokens:
             return []
-        labels = self._viterbi(tokens, self._weights, self._transitions)
-        return bio_to_spans(text, tokens, labels)
-
-    # ------------------------------------------------------------------
-    def _viterbi(
-        self,
-        tokens: list[Token],
-        weights: dict[tuple[str, str], float],
-        transitions: dict[tuple[str, str], float],
-    ) -> list[str]:
-        assert self._labels is not None
+        size = transitions.shape[1]
+        emissions = np.array(
+            [
+                _fold(rows, _token_features(tokens, i, self.gazetteers), size)
+                for i in range(len(tokens))
+            ],
+            dtype=float,
+        )
         labels = self._labels
-        n = len(tokens)
-        scores = [dict.fromkeys(labels, float("-inf")) for __ in range(n)]
-        back: list[dict[str, str]] = [{} for __ in range(n)]
-
-        features0 = _token_features(tokens, 0, self.gazetteers)
-        for label in labels:
-            emission = sum(weights.get((f, label), 0.0) for f in features0)
-            scores[0][label] = emission + transitions.get((_START, label), 0.0)
-
-        for i in range(1, n):
-            features = _token_features(tokens, i, self.gazetteers)
-            emissions = {
-                label: sum(weights.get((f, label), 0.0) for f in features)
-                for label in labels
-            }
-            for label in labels:
-                best_prev, best_score = None, float("-inf")
-                for previous in labels:
-                    score = (
-                        scores[i - 1][previous]
-                        + transitions.get((previous, label), 0.0)
-                    )
-                    if score > best_score:
-                        best_prev, best_score = previous, score
-                scores[i][label] = best_score + emissions[label]
-                back[i][label] = best_prev or _OUTSIDE
-
-        last = max(labels, key=lambda lb: scores[n - 1][lb])
-        path = [last]
-        for i in range(n - 1, 0, -1):
-            path.append(back[i][path[-1]])
-        path.reverse()
-        return path
+        path = [labels[i] for i in _decode(emissions, transitions)]
+        return bio_to_spans(text, tokens, path)
 
 
-def _update(
-    weights: dict[tuple[str, str], float],
-    totals: dict[tuple[str, str], float],
-    stamps: dict[tuple[str, str], int],
-    step: int,
-    key: tuple[str, str],
-    delta: float,
-) -> None:
-    totals[key] += (step - stamps[key]) * weights[key]
-    stamps[key] = step
-    weights[key] += delta
+def _fold(rows: dict[str, tuple], features: list[str], size: int) -> list:
+    """Per-label emission of one token.
+
+    Each label's weights are summed with the builtin ``sum`` in feature
+    order; absent weights are exact no-ops in that fold, so skipping them
+    gives the same float as summing a lookup for every feature.
+    """
+    columns: list[list[float]] = [[] for __ in range(size)]
+    for feature in features:
+        for label, weight in rows.get(feature, ()):
+            columns[label].append(weight)
+    return list(map(sum, columns))
+
+
+def _as_dict(
+    averaged: np.ndarray, row_names: list[str], labels: list[str]
+) -> dict[tuple[str, str], float]:
+    """``{(row name, label): weight}`` for the nonzero weights."""
+    size = len(labels)
+    keys = np.flatnonzero(averaged)
+    return {
+        (row_names[key // size], labels[key % size]): weight
+        for key, weight in zip(keys.tolist(), averaged.flat[keys].tolist())
+    }

@@ -6,6 +6,7 @@ the candidate-set machinery needs it without importing the NLU package.
 """
 
 from repro.textutil import (
+    MatchIndex,
     best_match,
     levenshtein,
     normalized_edit_similarity,
@@ -14,6 +15,7 @@ from repro.textutil import (
 )
 
 __all__ = [
+    "MatchIndex",
     "best_match",
     "levenshtein",
     "normalized_edit_similarity",
