@@ -74,52 +74,28 @@ def _cmd_chat() -> int:
             print(f"bot> {line}")
 
 
-_SERVE_HELP = """\
+_SERVE_HELP_HEAD = """\
 Multi-session mode. One synthesized agent serves every session; each
 session has its own dialogue state and awareness model.
+Sessions hash across workers (--workers N processes, default one
+in-process worker); figures are reported per worker.
+"""
 
-  :new [id]     open a session (and switch to it)
-  :use <id>     switch the active session
-  :sessions     list live sessions
-  :close <id>   end a session
-  :stats        runtime + storage + per-session connection counters
-  :advisor      ranked CREATE INDEX suggestions from observed scans
-  :autotune     self-driving policy: applied/retired indexes + budget
-  :replicas     replication status: lag (LSN + seconds), routes, ring
-  :compact      fold every table's delta into a fresh sealed segment
-  :help         this text
-  :quit         leave
+_SERVE_HELP_TAIL = """\
 Anything else is sent to the active session.
 With --replicas N, analytic statements route to log-shipped replicas
 at bounded staleness (transactions always commit on the primary)."""
 
-_SHARD_HELP = """\
-Sharded mode: session ids hash across worker processes, each hosting
-its own runtime over a database replica (affinity: a session's turns
-all land on its worker).
 
-  :new [id]     open a session (and switch to it)
-  :use <id>     switch the active session
-  :sessions     list live sessions (all workers)
-  :close <id>   end a session
-  :stats        per-worker turn counts, storage, commit waits
-  :autotune     per-worker self-driving policy status
-  :replicas     per-worker replication status (lag, routes, ring)
-  :compact      reseal every worker replica's delta rows
-  :help         this text
-  :quit         leave
-Anything else is sent to the active session."""
-
-
-def _print_replicas(status: dict, indent: str = "  ") -> None:
-    """Render one runtime's replication status (the ``:replicas`` view)."""
+def _print_replicas(status: dict) -> None:
+    """Render one worker's replication status (the ``:replicas`` view)."""
     if not status.get("enabled"):
-        print(f"{indent}replication off (start with --replicas N)")
+        print("  replication off (start with --replicas N)")
         return
     seconds = status["lag_seconds"]
     lag_s = "n/a" if seconds is None else f"{seconds * 1000.0:.1f}ms"
     print(
-        f"{indent}primary lsn={status['primary_lsn']}  "
+        f"  primary lsn={status['primary_lsn']}  "
         f"lag={status['lag_lsn']} lsn / {lag_s}  "
         f"live={status['replicas_live']}  "
         f"routes={status['replica_routes']} replica"
@@ -127,7 +103,7 @@ def _print_replicas(status: dict, indent: str = "  ") -> None:
     )
     ring = status["ring"]
     print(
-        f"{indent}ring {ring['size']}/{ring['capacity']} records  "
+        f"  ring {ring['size']}/{ring['capacity']} records  "
         f"evicted_lsn={ring['evicted_lsn']}"
     )
     for replica in status["replicas"]:
@@ -137,7 +113,7 @@ def _print_replicas(status: dict, indent: str = "  ") -> None:
         seconds = replica["lag_seconds"]
         lag_s = "n/a" if seconds is None else f"{seconds * 1000.0:.1f}ms"
         line = (
-            f"{indent}  replica {replica['index']}: {state}  "
+            f"    replica {replica['index']}: {state}  "
             f"applied_lsn={replica['applied_lsn']}  lag={lag_s}  "
             f"records={replica['records_applied']} "
             f"in {replica['batches_applied']} batches  "
@@ -148,53 +124,227 @@ def _print_replicas(status: dict, indent: str = "  ") -> None:
         print(line)
 
 
-def _print_autotune(status: dict, indent: str = "  ") -> None:
-    """Render one runtime's self-driving status (the ``:autotune`` view)."""
+def _print_autotune(status: dict) -> None:
+    """Render one worker's self-driving status (the ``:autotune`` view)."""
     state = "on" if status["enabled"] else "off"
     budget = status["budget"]
     print(
-        f"{indent}policy {state}  tick={status['tick']}  "
+        f"  policy {state}  tick={status['tick']}  "
         f"applied={status['applied']}  retired={status['retired']}"
     )
     print(
-        f"{indent}budget: {budget['rows_used']}"
+        f"  budget: {budget['rows_used']}"
         f"/{budget['memory_budget_rows']} indexed rows"
     )
     if status["indexes"]:
-        print(f"{indent}auto-managed indexes:")
+        print("  auto-managed indexes:")
         for entry in status["indexes"]:
             print(
-                f"{indent}  {entry['table']}.{entry['column']} "
+                f"    {entry['table']}.{entry['column']} "
                 f"({entry['kind']})  hits={entry['hits']:.1f}  "
                 f"hit_rows={entry['hit_rows']:.0f}  "
                 f"maintenance={entry['maintenance']:.0f}"
             )
     for action in status["actions"]:
         print(
-            f"{indent}{action['action']:6s} {action['table']}."
+            f"  {action['action']:6s} {action['table']}."
             f"{action['column']} ({action['kind']}) at tick "
             f"{action['tick']}"
         )
     respec = status.get("respec")
     if respec:
         print(
-            f"{indent}respecialisation: "
+            f"  respecialisation: "
             f"divergences={respec['divergences']}  "
             f"replans={respec['replans']}  forks={respec['forks']}  "
             f"fork_binds={respec['fork_binds']}"
         )
 
 
-def _shard_worker_runtime(bootstrap_arg):
-    """Spawn-safe shard bootstrap: replica from snapshot + synthesis.
+def _per_worker(results: dict, render) -> None:
+    """Print ``render(value)`` under a header for each worker."""
+    for index, value in sorted(results.items()):
+        print(f"worker {index}:")
+        render(value)
 
-    Fork-style workers never call this — they inherit the parent's
-    already-synthesized agent; spawn-style workers rebuild from the
-    incremental snapshot directory (sealed base + delta log) the
-    parent wrote, restoring without a full re-synthesis pass.
+
+# The one command table: (usage, help line, handler).  ``:help`` prints
+# it and the loop dispatches through it, so the two cannot drift apart.
+_SERVE_COMMANDS: list = []
+
+
+def _command(usage: str, text: str):
+    def register(handler):
+        _SERVE_COMMANDS.append((usage, text, handler))
+        return handler
+
+    return register
+
+
+class _ServeRepl:
+    """One ``repro serve`` loop's state: the router and the active
+    session.  Handlers take the text after the command and return True
+    to leave the loop."""
+
+    def __init__(self, router) -> None:
+        self.router = router
+        self.active = router.create_session()
+
+    def opened(self) -> None:
+        worker = self.router.shard_of(self.active)
+        print(f"[{self.active}] session opened (worker {worker})")
+
+    @_command(":new [id]", "open a session (and switch to it)")
+    def new(self, arg: str) -> None:
+        self.active = self.router.create_session(arg or None)
+        self.opened()
+
+    @_command(":use <id>", "switch the active session")
+    def use(self, arg: str) -> None:
+        if not arg:
+            print("usage: :use <id>")
+            return
+        if arg not in self.router.session_ids():
+            from repro.errors import UnknownSessionError
+
+            raise UnknownSessionError(f"no session {arg!r}")
+        self.active = arg
+        print(f"[{arg}] active")
+
+    @_command(":sessions", "list live sessions with their turn counts")
+    def sessions(self, arg: str) -> None:
+        for index, sessions in sorted(self.router.session_stats().items()):
+            for s in sessions:
+                sid = s["session_id"]
+                marker = "*" if sid == self.active else " "
+                print(f" {marker} {sid}  turns={s['turns']}  worker={index}")
+
+    @_command(":close [id]", "end a session (default: the active one)")
+    def close(self, arg: str) -> None:
+        target = arg or self.active
+        self.router.end_session(target)
+        print(f"[{target}] closed")
+        if target == self.active:
+            remaining = self.router.session_ids()
+            self.active = remaining[-1] if remaining else \
+                self.router.create_session()
+            print(f"[{self.active}] active")
+
+    @_command(":stats", "runtime + storage + per-session counters")
+    def stats(self, arg: str) -> None:
+        totals = self.router.stats()
+        print(f"all workers: turns_served={totals.turns_served}  "
+              f"live_sessions={totals.live_sessions}")
+        storage = self.router.storage_stats()
+        sessions = self.router.session_stats()
+        for index, stats in sorted(self.router.runtime_stats().items()):
+            print(f"worker {index}:")
+            for key, value in stats.items():
+                print(f"  {key:24s} {value}")
+            print("  per-table storage (sealed segment + delta):")
+            for name, t in sorted(storage[index].items()):
+                line = (
+                    f"    {name:16s} sealed={t['sealed_rows']}  "
+                    f"delta={t['delta_rows']}  retired={t['retired_rows']}  "
+                    f"compactions={t['compactions']}"
+                )
+                if t["compactions"]:
+                    seconds = t["last_compaction_seconds"]
+                    line += f"  last={seconds * 1000.0:.2f}ms"
+                print(line)
+            if sessions[index]:
+                print("  per-session (connection stats + turn latency):")
+            for s in sessions[index]:
+                hits, lookups = s["plan_cache_hits"], \
+                    s["plan_cache_hits"] + s["plan_cache_misses"]
+                print(
+                    f"    {s['session_id']}  turns={s['turns']}  "
+                    f"plan_cache={hits}/{lookups} hits "
+                    f"({hits / lookups if lookups else 0.0:.0%})  "
+                    f"statements={s['executions']}  "
+                    f"mean_turn={s['mean_turn_ms']:.2f}ms  "
+                    f"last_turn={s['last_turn_ms']:.2f}ms  "
+                    f"snapshot=v{s['snapshot_version']}"
+                )
+
+    @_command(":advisor", "ranked CREATE INDEX suggestions from scans")
+    def advisor(self, arg: str) -> None:
+        for index, suggestions in sorted(self.router.advisor().items()):
+            print(f"worker {index}:")
+            if not suggestions:
+                print("  no index suggestions (no advisable scans seen)")
+            for s in suggestions:
+                print(f"  {s['statement']}  [{s['misses']} scans, "
+                      f"~{s['rows_scanned']} rows walked]")
+
+    @_command(":autotune", "self-driving policy: indexes, actions, budget")
+    def autotune(self, arg: str) -> None:
+        _per_worker(self.router.autotune_status(), _print_autotune)
+
+    @_command(":replicas", "replication lag (LSN + seconds), routes, ring")
+    def replicas(self, arg: str) -> None:
+        _per_worker(self.router.replica_status(), _print_replicas)
+
+    @_command(":compact", "fold every table's delta into a sealed segment")
+    def compact(self, arg: str) -> None:
+        _per_worker(self.router.compact(),
+                    lambda count: print(f"  {count} tables resealed"))
+
+    @_command(":help", "this text")
+    def help(self, arg: str) -> None:
+        print(_SERVE_HELP_HEAD)
+        for usage, text, __ in _SERVE_COMMANDS:
+            print(f"  {usage:13s} {text}")
+        print(_SERVE_HELP_TAIL)
+
+    @_command(":quit", "leave (also :q, quit, exit)")
+    def quit(self, arg: str) -> bool:
+        return True
+
+    def say(self, text: str) -> None:
+        reply = self.router.respond(self.active, text)
+        for line in reply.text.split("\n"):
+            print(f"bot> {line}")
+
+
+_SERVE_HANDLERS = {usage.split()[0]: handler
+                   for usage, __, handler in _SERVE_COMMANDS}
+
+
+def _serve_loop(router) -> int:
+    """Read commands and utterances until EOF or ``:quit``."""
+    from repro.errors import ServingError
+
+    repl = _ServeRepl(router)
+    repl.help("")
+    print(f"{router.worker_count} worker(s) up")
+    repl.opened()
+    while True:
+        try:
+            text = input(f"{repl.active}> ").strip()
+        except EOFError:
+            return 0
+        if not text:
+            continue
+        command, __, arg = text.partition(" ")
+        if text in (":q", "quit", "exit"):
+            command = ":quit"
+        try:
+            if not command.startswith(":"):
+                repl.say(text)
+            elif command not in _SERVE_HANDLERS:
+                print(f"unknown command {text!r} (:help for help)")
+            elif _SERVE_HANDLERS[command](repl, arg.strip()):
+                return 0
+        except ServingError as exc:
+            print(f"error: {exc}")
+
+
+def _shard_worker_runtime(bootstrap_arg):
+    """Spawn-safe shard bootstrap: restore the incremental snapshot
+    directory the parent wrote and synthesize the runtime over it.
     ``bootstrap_arg`` is the directory, or ``(directory, replicas)``
-    when the worker should also attach analytic replicas.
-    """
+    when the worker should also attach analytic replicas."""
     from repro import CAT
     from repro.datasets import movie_templates, restore_movie_database
 
@@ -211,249 +361,50 @@ def _shard_worker_runtime(bootstrap_arg):
     return runtime
 
 
-def _cmd_serve_sharded(
-    session_ttl: float | None, workers: int, replicas: int = 0
-) -> int:
+def _serve_router(agent, session_ttl: float | None, workers: int,
+                  replicas: int):
+    """The serve tier: one in-process worker for ``workers <= 0``,
+    otherwise ``workers`` processes (fork, or spawn from a snapshot)."""
     import multiprocessing
     import tempfile
 
-    from repro.errors import ServingError, UnknownSessionError
     from repro.serving import AgentRuntime, ShardRouter
 
-    cat, agent = _build_cat()
+    def bootstrap():
+        # Replicas attach inside the worker: appliers are threads and
+        # must live in the process whose primary they tail.
+        runtime = AgentRuntime.for_agent(agent, session_ttl=session_ttl)
+        if replicas > 0:
+            runtime.enable_replicas(replicas)
+        return runtime
 
+    if workers <= 0:
+        return ShardRouter(1, bootstrap, inprocess=True)
     if "fork" in multiprocessing.get_all_start_methods():
         # Fork workers inherit the synthesized agent (copy-on-write
-        # replica) — worker start is effectively free.  Replicas are
-        # attached *after* the fork, in the worker: appliers are
-        # threads and must live in the process whose primary they tail.
-        def bootstrap():
-            runtime = AgentRuntime.for_agent(agent, session_ttl=session_ttl)
-            if replicas > 0:
-                runtime.enable_replicas(replicas)
-            return runtime
-
-        router = ShardRouter(workers, bootstrap, start_method="fork")
+        # replica) — worker start is effectively free.
+        return ShardRouter(workers, bootstrap, start_method="fork")
     else:  # pragma: no cover - non-fork platforms
-        # Incremental (v4) snapshot directory: workers restore the
-        # sealed base image and replay the delta log instead of
-        # re-synthesizing, so spawn start stays fast.
-        directory = tempfile.mkdtemp(prefix="repro-shard-")
+        # Workers restore the incremental (v4) snapshot directory
+        # instead of re-synthesizing, so spawn start stays fast.
         from repro.db import dump_incremental
 
+        directory = tempfile.mkdtemp(prefix="repro-shard-")
         dump_incremental(agent._database, directory)
-        router = ShardRouter(
+        return ShardRouter(
             workers,
             "repro.cli:_shard_worker_runtime",
             bootstrap_arg=(directory, replicas) if replicas else directory,
             start_method="spawn",
         )
 
-    with router:
-        active = router.create_session()
-        print(_SHARD_HELP)
-        print(f"{workers} workers up")
-        print(f"[{active}] session opened (worker {router.shard_of(active)})")
-        while True:
-            try:
-                text = input(f"{active}> ").strip()
-            except EOFError:
-                return 0
-            if not text:
-                continue
-            if text in (":quit", ":q", "quit", "exit"):
-                return 0
-            try:
-                if text == ":help":
-                    print(_SHARD_HELP)
-                elif text.startswith(":new"):
-                    parts = text.split(maxsplit=1)
-                    active = router.create_session(
-                        parts[1] if len(parts) > 1 else None
-                    )
-                    print(
-                        f"[{active}] session opened "
-                        f"(worker {router.shard_of(active)})"
-                    )
-                elif text.startswith(":use"):
-                    parts = text.split(maxsplit=1)
-                    if len(parts) < 2:
-                        print("usage: :use <id>")
-                        continue
-                    active = parts[1]
-                    print(f"[{active}] active")
-                elif text == ":sessions":
-                    for sid in router.session_ids():
-                        marker = "*" if sid == active else " "
-                        print(
-                            f" {marker} {sid}  "
-                            f"worker={router.shard_of(sid)}"
-                        )
-                elif text.startswith(":close"):
-                    parts = text.split(maxsplit=1)
-                    target = parts[1] if len(parts) > 1 else active
-                    router.end_session(target)
-                    print(f"[{target}] closed")
-                elif text == ":stats":
-                    stats = router.stats()
-                    print(
-                        f"  turns_served             {stats.turns_served}"
-                    )
-                    print(
-                        f"  live_sessions            {stats.live_sessions}"
-                    )
-                    for w in stats.workers:
-                        print(
-                            f"    worker {w.worker}: turns={w.turns_served}  "
-                            f"sessions={w.live_sessions}  "
-                            f"snapshot_version={w.snapshot_version}  "
-                            f"commit_waits={w.commit_waits}  "
-                            f"txns={w.transactions_committed}"
-                            f"/{w.transactions_aborted} aborted"
-                        )
-                    for index, tables in sorted(
-                        router.storage_stats().items()
-                    ):
-                        print(f"  storage (worker {index}):")
-                        for name, s in sorted(tables.items()):
-                            print(
-                                f"    {name:16s} "
-                                f"sealed={s['sealed_rows']}  "
-                                f"delta={s['delta_rows']}  "
-                                f"retired={s['retired_rows']}  "
-                                f"compactions={s['compactions']}"
-                            )
-                elif text == ":compact":
-                    for index, count in sorted(router.compact().items()):
-                        print(f"  worker {index}: {count} tables resealed")
-                elif text == ":autotune":
-                    statuses = router.autotune_status()
-                    for index, status in sorted(statuses.items()):
-                        print(f"  worker {index}:")
-                        _print_autotune(status, indent="    ")
-                elif text == ":replicas":
-                    statuses = router.replica_status()
-                    for index, status in sorted(statuses.items()):
-                        print(f"  worker {index}:")
-                        _print_replicas(status, indent="    ")
-                elif text.startswith(":"):
-                    print(f"unknown command {text!r} (:help for help)")
-                else:
-                    reply = router.respond(active, text)
-                    for line in reply.text.split("\n"):
-                        print(f"bot> {line}")
-            except (ServingError, UnknownSessionError) as exc:
-                print(f"error: {exc}")
 
-
-def _cmd_serve(session_ttl: float | None, replicas: int = 0) -> int:
-    from repro.errors import ServingError, UnknownSessionError
-    from repro.serving import AgentRuntime
-
-    cat, agent = _build_cat()
-    runtime = AgentRuntime.for_agent(agent, session_ttl=session_ttl)
-    if replicas > 0:
-        runtime.enable_replicas(replicas)
-        print(f"{replicas} analytic replica(s) attached")
-    active = runtime.create_session()
-    print(_SERVE_HELP)
-    print(f"[{active}] session opened")
-    while True:
-        try:
-            text = input(f"{active}> ").strip()
-        except EOFError:
-            return 0
-        if not text:
-            continue
-        if text in (":quit", ":q", "quit", "exit"):
-            return 0
-        try:
-            if text == ":help":
-                print(_SERVE_HELP)
-            elif text.startswith(":new"):
-                parts = text.split(maxsplit=1)
-                active = runtime.create_session(
-                    parts[1] if len(parts) > 1 else None
-                )
-                print(f"[{active}] session opened")
-            elif text.startswith(":use"):
-                parts = text.split(maxsplit=1)
-                if len(parts) < 2:
-                    print("usage: :use <id>")
-                    continue
-                runtime.session(parts[1])  # validates id and TTL
-                active = parts[1]
-                print(f"[{active}] active")
-            elif text == ":sessions":
-                # peek, not get: listing must not refresh TTL/LRU.
-                for sid in runtime.session_ids():
-                    session = runtime.peek_session(sid)
-                    marker = "*" if sid == active else " "
-                    print(f" {marker} {sid}  turns={session.turn_count}")
-            elif text.startswith(":close"):
-                parts = text.split(maxsplit=1)
-                target = parts[1] if len(parts) > 1 else active
-                runtime.end_session(target)
-                print(f"[{target}] closed")
-                if target == active:
-                    remaining = runtime.session_ids()
-                    active = remaining[-1] if remaining else \
-                        runtime.create_session()
-                    print(f"[{active}] active")
-            elif text == ":stats":
-                stats = runtime.stats()
-                for key, value in vars(stats).items():
-                    print(f"  {key:24s} {value}")
-                print("  per-table storage (sealed segment + delta):")
-                for name, s in sorted(runtime.storage_stats().items()):
-                    line = (
-                        f"    {name:16s} sealed={s.sealed_rows}  "
-                        f"delta={s.delta_rows}  retired={s.retired_rows}  "
-                        f"compactions={s.compactions}"
-                    )
-                    if s.compactions:
-                        line += (
-                            f"  last={s.last_compaction_seconds * 1000.0:.2f}ms"
-                        )
-                    print(line)
-                session_ids = runtime.session_ids()
-                if session_ids:
-                    print("  per-session (connection stats + turn latency):")
-                for sid in session_ids:
-                    s = runtime.session_stats(sid)
-                    lookups = s.plan_cache_hits + s.plan_cache_misses
-                    print(
-                        f"    {sid}  turns={s.turns}  "
-                        f"plan_cache={s.plan_cache_hits}/{lookups} hits "
-                        f"({s.plan_cache_hit_rate:.0%})  "
-                        f"statements={s.executions}  "
-                        f"mean_turn={s.mean_turn_ms:.2f}ms  "
-                        f"last_turn={s.last_turn_ms:.2f}ms  "
-                        f"snapshot=v{s.snapshot_version}"
-                    )
-            elif text == ":compact":
-                print(f"  {runtime.compact()} tables resealed")
-            elif text == ":advisor":
-                suggestions = runtime.advisor()
-                if not suggestions:
-                    print("  no index suggestions (no advisable scans seen)")
-                for s in suggestions:
-                    print(
-                        f"  {s.statement}  "
-                        f"[{s.misses} scans, ~{s.rows_scanned} rows walked]"
-                    )
-            elif text == ":autotune":
-                _print_autotune(runtime.autotune_status())
-            elif text == ":replicas":
-                _print_replicas(runtime.replica_status())
-            elif text.startswith(":"):
-                print(f"unknown command {text!r} (:help for help)")
-            else:
-                reply = runtime.respond(active, text)
-                for line in reply.text.split("\n"):
-                    print(f"bot> {line}")
-        except (ServingError, UnknownSessionError) as exc:
-            print(f"error: {exc}")
+def _run_serve(session_ttl: float | None, workers: int, replicas: int) -> int:
+    __, agent = _build_cat()
+    with _serve_router(agent, session_ttl, workers, replicas) as router:
+        if replicas > 0:
+            print(f"{replicas} analytic replica(s) attached per worker")
+        return _serve_loop(router)
 
 
 def _cmd_report() -> int:
@@ -777,7 +728,7 @@ def main(argv: list[str] | None = None) -> int:
         default=0,
         metavar="N",
         help="shard sessions across N worker processes "
-        "(default: 0 = single-process threaded runtime)",
+        "(default: 0 = one in-process worker)",
     )
     serve.add_argument(
         "--replicas",
@@ -812,11 +763,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "chat":
         return _cmd_chat()
     if args.command == "serve":
-        if args.workers > 0:
-            return _cmd_serve_sharded(
-                args.session_ttl, args.workers, args.replicas
-            )
-        return _cmd_serve(args.session_ttl, args.replicas)
+        return _run_serve(args.session_ttl, args.workers, args.replicas)
     if args.command == "report":
         return _cmd_report()
     if args.command == "policies":

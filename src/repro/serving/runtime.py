@@ -316,8 +316,8 @@ class AgentRuntime:
         Idempotent once attached: the existing manager is returned.
         ``options`` pass through to
         :class:`~repro.replication.ReplicaManager` (staleness bound,
-        ring capacity, batch size).  The serve CLIs call this for
-        ``--replicas N``.
+        ring capacity, batch size).  ``repro serve`` calls this in every
+        worker for ``--replicas N``.
         """
         manager = self.database.replica_manager
         if manager is not None:

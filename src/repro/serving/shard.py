@@ -6,11 +6,12 @@ GIL still caps CPU-bound NLU + query execution at one core.  The shard
 tier scales past that the way the paper's "millions of users"
 deployment would: N worker processes, each hosting its own
 :class:`~repro.serving.runtime.AgentRuntime` over a *replica* of the
-database (synthesized once and shipped via the format-v3 snapshot, or
-inherited on fork), with a router in front that hashes session ids to
-workers.  Affinity is total — a session's every turn lands on the same
-worker, so dialogue state, per-session connections and transcripts
-never cross process boundaries.
+database (inherited on fork, or restored by spawn workers from the
+format-v4 incremental snapshot: sealed base image plus delta log), with
+a router in front that hashes session ids to workers.  Affinity is
+total — a session's every turn lands on the same worker, so dialogue
+state, per-session connections and transcripts never cross process
+boundaries.
 
 Replicas imply per-worker writes stay per-worker (a booking commits on
 the owning session's replica only); that is the right trade for the
@@ -21,9 +22,9 @@ work in PAPERS.md.
 The wire protocol is deliberately tiny: one duplex pipe per worker,
 ``(op, payload)`` request tuples answered by ``("ok", value)`` or
 ``("err", kind, message)``; a per-worker mutex serialises request/reply
-pairs while different workers proceed in parallel.  Replies carry plain
-dicts (no agent objects cross the pipe), surfaced as
-:class:`ShardReply`.
+pairs while different workers proceed in parallel.  Replies carry
+:class:`ShardReply` values and plain dicts (no agent objects cross the
+pipe).
 
 ``bootstrap`` builds the worker's runtime.  Pass a callable for
 fork-based starts (the child inherits it — and, typically, the already
@@ -31,8 +32,10 @@ built runtime closed over it, making worker start effectively free) or
 a ``"module:attribute"`` string for spawn-safe starts; either receives
 ``bootstrap_arg`` (e.g. a snapshot path) when given.  ``inprocess=True``
 skips processes entirely and hosts every "worker" runtime in the
-calling process — the degenerate mode used by tests and single-core
-machines.
+calling process; one in-process worker is the default ``repro serve``
+path, so in-process and multi-process serving share one REPL.
+A worker process that dies surfaces as :class:`ServingError` on its
+sessions; the other workers keep serving.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ import itertools
 import multiprocessing
 import threading
 import zlib
-from dataclasses import dataclass
-from typing import Any, Callable
+from dataclasses import dataclass, fields
+from typing import Any
 
 from repro.errors import ServingError, SessionExpiredError, UnknownSessionError
 
@@ -50,9 +53,11 @@ __all__ = ["ShardReply", "ShardRouter", "ShardStats", "WorkerStats"]
 
 _shard_session_counter = itertools.count(1)
 
+# Typed errors that cross the pipe, most specific first (an expired
+# session is also an unknown one); anything else arrives as ServingError.
 _ERROR_KINDS: dict[str, type[Exception]] = {
-    "unknown_session": UnknownSessionError,
     "session_expired": SessionExpiredError,
+    "unknown_session": UnknownSessionError,
     "serving": ServingError,
 }
 
@@ -98,30 +103,30 @@ class ShardStats:
         return tuple(w.turns_served for w in self.workers)
 
 
-def _resolve_bootstrap(spec: Any) -> Callable[..., Any]:
-    """A ``"module:attribute"`` spec (or a callable, passed through)."""
-    if callable(spec):
-        return spec
-    module_name, __, attribute = str(spec).partition(":")
-    if not attribute:
-        raise ServingError(
-            f"bootstrap spec {spec!r} is not 'module:attribute'"
-        )
-    import importlib
-
-    target: Any = importlib.import_module(module_name)
-    for part in attribute.split("."):
-        target = getattr(target, part)
-    if not callable(target):
-        raise ServingError(f"bootstrap {spec!r} resolved to a non-callable")
-    return target
+# The RuntimeStats counters a WorkerStats carries (all but ``worker``).
+_WORKER_COUNTERS = tuple(f.name for f in fields(WorkerStats))[1:]
 
 
 def _build_runtime(bootstrap: Any, bootstrap_arg: Any) -> Any:
-    factory = _resolve_bootstrap(bootstrap)
-    if bootstrap_arg is None:
-        return factory()
-    return factory(bootstrap_arg)
+    """Call ``bootstrap`` (a callable or a ``"module:attribute"`` spec),
+    passing ``bootstrap_arg`` when given."""
+    factory = bootstrap
+    if not callable(factory):
+        module_name, __, attribute = str(bootstrap).partition(":")
+        if not attribute:
+            raise ServingError(
+                f"bootstrap spec {bootstrap!r} is not 'module:attribute'"
+            )
+        import importlib
+
+        factory = importlib.import_module(module_name)
+        for part in attribute.split("."):
+            factory = getattr(factory, part)
+        if not callable(factory):
+            raise ServingError(
+                f"bootstrap {bootstrap!r} resolved to a non-callable"
+            )
+    return factory() if bootstrap_arg is None else factory(bootstrap_arg)
 
 
 def _serve_request(runtime: Any, op: str, payload: Any) -> Any:
@@ -129,11 +134,8 @@ def _serve_request(runtime: Any, op: str, payload: Any) -> Any:
     if op == "respond":
         session_id, text = payload
         reply = runtime.respond(session_id, text)
-        return {
-            "text": reply.text,
-            "executed": reply.executed,
-            "intent": reply.nlu.intent if reply.nlu else None,
-        }
+        intent = reply.nlu.intent if reply.nlu else None
+        return ShardReply(reply.text, reply.executed, intent)
     if op == "create_session":
         return runtime.create_session(payload)
     if op == "end_session":
@@ -142,27 +144,22 @@ def _serve_request(runtime: Any, op: str, payload: Any) -> Any:
     if op == "session_ids":
         return runtime.session_ids()
     if op == "stats":
-        stats = runtime.stats()
-        return {
-            "live_sessions": stats.live_sessions,
-            "turns_served": stats.turns_served,
-            "transactions_committed": stats.transactions_committed,
-            "transactions_aborted": stats.transactions_aborted,
-            "snapshot_version": stats.snapshot_version,
-            "commit_waits": stats.commit_waits,
-        }
+        # Every RuntimeStats counter, as a plain dict.
+        return dict(vars(runtime.stats()))
+    if op == "session_stats":
+        # Peek, not get: listing must not refresh TTL/LRU.
+        return [
+            dict(vars(runtime.session_stats(sid)))
+            for sid in runtime.session_ids()
+        ]
     if op == "storage_stats":
         return {
-            name: {
-                "sealed_rows": s.sealed_rows,
-                "delta_rows": s.delta_rows,
-                "retired_rows": s.retired_rows,
-                "sealed_epoch": s.sealed_epoch,
-                "compactions": s.compactions,
-                "last_compaction_seconds": s.last_compaction_seconds,
-            }
-            for name, s in runtime.storage_stats().items()
+            name: dict(vars(s)) for name, s in runtime.storage_stats().items()
         }
+    if op == "advisor":
+        return [
+            dict(vars(s), statement=s.statement) for s in runtime.advisor()
+        ]
     if op == "compact":
         return runtime.compact()
     if op == "autotune":
@@ -177,12 +174,9 @@ def _serve_request(runtime: Any, op: str, payload: Any) -> Any:
 
 
 def _error_kind(exc: BaseException) -> str:
-    if isinstance(exc, UnknownSessionError):
-        return "unknown_session"
-    if isinstance(exc, SessionExpiredError):
-        return "session_expired"
-    if isinstance(exc, ServingError):
-        return "serving"
+    for kind, error in _ERROR_KINDS.items():
+        if isinstance(exc, error):
+            return kind
     return "runtime"
 
 
@@ -231,8 +225,13 @@ class _ProcessWorker:
 
     def request(self, op: str, payload: Any) -> Any:
         with self.lock:
-            self._conn.send((op, payload))
-            reply = self._conn.recv()
+            try:
+                self._conn.send((op, payload))
+                reply = self._conn.recv()
+            except (OSError, EOFError) as exc:
+                raise ServingError(
+                    f"shard worker {self.index} is unreachable: {exc!r}"
+                ) from exc
         if reply[0] == "ok":
             return reply[1]
         __, kind, message = reply
@@ -241,7 +240,7 @@ class _ProcessWorker:
     def close(self) -> None:
         try:
             self.request("shutdown", None)
-        except (OSError, EOFError, BrokenPipeError):
+        except ServingError:
             pass
         self._process.join(timeout=5.0)
         if self._process.is_alive():  # pragma: no cover - stuck worker
@@ -254,12 +253,9 @@ class _InprocessWorker:
 
     def __init__(self, index: int, bootstrap: Any, bootstrap_arg: Any):
         self.index = index
-        self.lock = threading.Lock()
         self._runtime = _build_runtime(bootstrap, bootstrap_arg)
 
     def request(self, op: str, payload: Any) -> Any:
-        if op == "shutdown":
-            return None
         return _serve_request(self._runtime, op, payload)
 
     def close(self) -> None:
@@ -286,17 +282,14 @@ class ShardRouter:
             raise ServingError("workers must be >= 1")
         self._workers: list[Any] = []
         try:
-            if inprocess:
-                for index in range(workers):
-                    self._workers.append(
-                        _InprocessWorker(index, bootstrap, bootstrap_arg)
-                    )
-            else:
-                ctx = multiprocessing.get_context(start_method)
-                for index in range(workers):
-                    self._workers.append(
-                        _ProcessWorker(index, ctx, bootstrap, bootstrap_arg)
-                    )
+            ctx = None if inprocess else \
+                multiprocessing.get_context(start_method)
+            for index in range(workers):
+                self._workers.append(
+                    _InprocessWorker(index, bootstrap, bootstrap_arg)
+                    if inprocess
+                    else _ProcessWorker(index, ctx, bootstrap, bootstrap_arg)
+                )
         except BaseException:
             self.close()
             raise
@@ -322,13 +315,8 @@ class ShardRouter:
         return session_id
 
     def respond(self, session_id: str, text: str) -> ShardReply:
-        reply = self._worker_for(session_id).request(
+        return self._worker_for(session_id).request(
             "respond", (session_id, text)
-        )
-        return ShardReply(
-            text=reply["text"],
-            executed=reply["executed"],
-            intent=reply["intent"],
         )
 
     def end_session(self, session_id: str) -> None:
@@ -341,49 +329,54 @@ class ShardRouter:
         return ids
 
     def stats(self) -> ShardStats:
-        per_worker = []
-        for worker in self._workers:
-            raw = worker.request("stats", None)
-            per_worker.append(WorkerStats(worker=worker.index, **raw))
-        return ShardStats(workers=tuple(per_worker))
+        return ShardStats(workers=tuple(
+            WorkerStats(worker=index, **{
+                name: counters[name] for name in _WORKER_COUNTERS
+            })
+            for index, counters in sorted(self.runtime_stats().items())
+        ))
+
+    def _each_worker(self, op: str) -> dict[int, Any]:
+        """One ``op`` answered by every worker, keyed by worker index.
+
+        Each worker owns its database replica (and, with
+        ``--replicas``, its own analytic replicas), so storage,
+        replication, advisor and autotune figures are inherently per
+        worker: replicas tune independently and follow the sessions
+        hashed to them.
+        """
+        return {
+            worker.index: worker.request(op, None)
+            for worker in self._workers
+        }
 
     def storage_stats(self) -> dict[int, dict[str, dict[str, Any]]]:
         """Per-worker, per-table sealed/delta/compaction figures."""
-        return {
-            worker.index: worker.request("storage_stats", None)
-            for worker in self._workers
-        }
+        return self._each_worker("storage_stats")
 
     def compact(self) -> dict[int, int]:
         """Compact every worker's replica; tables resealed per worker."""
-        return {
-            worker.index: worker.request("compact", None)
-            for worker in self._workers
-        }
+        return self._each_worker("compact")
 
     def replica_status(self) -> dict[int, dict[str, Any]]:
-        """Per-worker replication status.
-
-        Each worker owns its database replica *and* (with ``--replicas``)
-        its own analytic replicas of it, so lag and routing counters are
-        inherently per worker.
-        """
-        return {
-            worker.index: worker.request("replica_status", None)
-            for worker in self._workers
-        }
+        """Per-worker replication status (lag, routes, ring)."""
+        return self._each_worker("replica_status")
 
     def autotune_status(self) -> dict[int, dict[str, Any]]:
-        """Per-worker self-driving policy status.
+        """Per-worker self-driving policy status."""
+        return self._each_worker("autotune")
 
-        Replicas tune independently — each worker's policy follows the
-        sessions hashed to it, so the applied index sets can legitimately
-        differ across workers under skewed session traffic.
-        """
-        return {
-            worker.index: worker.request("autotune", None)
-            for worker in self._workers
-        }
+    def advisor(self) -> dict[int, list[dict[str, Any]]]:
+        """Per-worker ranked CREATE INDEX suggestions."""
+        return self._each_worker("advisor")
+
+    def runtime_stats(self) -> dict[int, dict[str, Any]]:
+        """Per-worker RuntimeStats counters, every field."""
+        return self._each_worker("stats")
+
+    def session_stats(self) -> dict[int, list[dict[str, Any]]]:
+        """Per-worker SessionStats of every live session."""
+        return self._each_worker("session_stats")
 
     # ------------------------------------------------------------------
     def close(self) -> None:

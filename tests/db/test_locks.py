@@ -1,213 +1,123 @@
-"""Tests for the readers–writer lock backing the serving runtime."""
+"""Tests for the commit latch serialising writer transactions."""
 
 import threading
 
 import pytest
 
-from repro.db import RWLock
+from repro.db.locks import CommitLatch
 
 
-def run_with_timeout(target, timeout=5.0):
-    thread = threading.Thread(target=target, daemon=True)
+def run_in_thread(target, timeout=5.0):
+    """Run ``target`` on another thread; return what it returned/raised."""
+    outcome = {}
+
+    def body():
+        try:
+            outcome["value"] = target()
+        except BaseException as exc:  # noqa: BLE001 - handed back
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=body, daemon=True)
     thread.start()
     thread.join(timeout=timeout)
-    return not thread.is_alive()
+    assert not thread.is_alive(), "thread did not finish"
+    return outcome
 
 
 class TestBasics:
-    def test_many_readers(self):
-        lock = RWLock()
-        entered = []
-        barrier = threading.Barrier(4)
-
-        def reader():
-            with lock.read_lock():
-                barrier.wait(timeout=5)  # all four inside simultaneously
-                entered.append(1)
-
-        threads = [threading.Thread(target=reader) for __ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=5)
-        assert len(entered) == 4
-
-    def test_writer_excludes_readers(self):
-        lock = RWLock()
-        order = []
-        lock.acquire_write()
-
-        def reader():
-            with lock.read_lock():
-                order.append("read")
-
-        thread = threading.Thread(target=reader)
-        thread.start()
-        thread.join(timeout=0.2)
-        assert order == []  # blocked behind the writer
-        order.append("write-done")
-        lock.release_write()
-        thread.join(timeout=5)
-        assert order == ["write-done", "read"]
-
-    def test_reentrant_write(self):
-        lock = RWLock()
-        with lock.write_lock():
-            with lock.write_lock():
-                assert lock.write_held
-        assert not lock.write_held
-
-    def test_reentrant_read(self):
-        lock = RWLock()
-        with lock.read_lock():
-            with lock.read_lock():
-                pass
-        # Fully released: a writer can proceed.
-        assert run_with_timeout(lambda: lock.write_lock().__enter__())
-
-    def test_upgrade_refused(self):
-        lock = RWLock()
-        with lock.read_lock():
-            with pytest.raises(RuntimeError):
-                lock.acquire_write()
+    def test_reentrant_acquire_by_owner(self):
+        latch = CommitLatch()
+        latch.acquire()
+        latch.acquire()  # the owner re-enters without blocking
+        latch.release()
+        assert latch.locked and latch.held_by_current_thread
+        latch.release()
+        assert not latch.locked
+        assert latch.waits == 0
 
     def test_unmatched_release_raises(self):
-        lock = RWLock()
         with pytest.raises(RuntimeError):
-            lock.release_read()
-        with pytest.raises(RuntimeError):
-            lock.release_write()
+            CommitLatch().release()
+
+    def test_release_from_another_thread_raises(self):
+        latch = CommitLatch()
+        latch.acquire()
+        outcome = run_in_thread(latch.release)
+        assert isinstance(outcome["error"], RuntimeError)
+        # The failed release left the owner's hold intact.
+        assert latch.held_by_current_thread
+        latch.release()
+        assert not latch.locked
+
+    def test_held_by_current_thread_and_locked(self):
+        latch = CommitLatch()
+        assert not latch.locked and not latch.held_by_current_thread
+        with latch.held():
+            assert latch.locked and latch.held_by_current_thread
+            seen = run_in_thread(
+                lambda: (latch.locked, latch.held_by_current_thread)
+            )
+            assert seen["value"] == (True, False)
+        assert not latch.locked and not latch.held_by_current_thread
+
+    def test_held_releases_on_error(self):
+        latch = CommitLatch()
+        with pytest.raises(ValueError):
+            with latch.held():
+                raise ValueError("boom")
+        assert not latch.locked
 
 
-class TestReadInsideWrite:
-    def test_read_inside_write_is_nonblocking(self):
-        lock = RWLock()
-        with lock.write_lock():
-            with lock.read_lock():
-                assert lock.write_held
-
-    def test_read_released_after_write_does_not_underflow(self):
-        """Regression: unnested release order must not wedge writers.
-
-        acquire_write -> acquire_read -> release_write -> release_read
-        used to decrement the reader count below zero, deadlocking every
-        subsequent writer.
-        """
-        lock = RWLock()
-        lock.acquire_write()
-        lock.acquire_read()
-        lock.release_write()
-        lock.release_read()
-
-        def writer():
-            with lock.write_lock():
+class TestContention:
+    def test_waits_count_only_contended_acquisitions(self):
+        latch = CommitLatch()
+        # Uncontended and reentrant acquisitions never count.
+        with latch.held():
+            with latch.held():
                 pass
 
-        assert run_with_timeout(writer), "writer deadlocked after unnested release"
-
-    def test_write_release_downgrades_to_counted_read(self):
-        """A read outliving its write must keep real shared protection."""
-        lock = RWLock()
-        lock.acquire_write()
-        lock.acquire_read()
-        lock.release_write()  # downgrade: the read is now a true reader
-        acquired = threading.Event()
-
-        def writer():
-            lock.acquire_write()
-            acquired.set()
-            lock.release_write()
-
-        thread = threading.Thread(target=writer, daemon=True)
-        thread.start()
-        assert not acquired.wait(timeout=0.2), (
-            "writer slipped past a downgraded read lock"
-        )
-        lock.release_read()
-        assert acquired.wait(timeout=5)
-
-
-class TestSuspendResume:
-    def test_suspend_lets_writer_in_then_resumes(self):
-        lock = RWLock()
-        lock.acquire_read()
-        depth = lock.suspend_reads()
-        assert depth == 1
-
-        def writer():
-            with lock.write_lock():
+        def uncontended():
+            with latch.held():
                 pass
 
-        assert run_with_timeout(writer), "writer blocked by suspended reads"
-        lock.resume_reads(depth)
-        # Reads are held again: a writer must now block.
-        blocked = threading.Event()
+        run_in_thread(uncontended)
+        assert latch.waits == 0
 
-        def writer2():
-            lock.acquire_write()
-            blocked.set()
-            lock.release_write()
+        latch.acquire()
+        entered = threading.Event()
 
-        thread = threading.Thread(target=writer2, daemon=True)
+        def contender():
+            with latch.held():
+                entered.set()
+
+        thread = threading.Thread(target=contender, daemon=True)
         thread.start()
-        assert not blocked.wait(timeout=0.2)
-        lock.release_read()
-        assert blocked.wait(timeout=5)
+        assert not entered.wait(timeout=0.2)  # blocked behind the owner
+        assert latch.waits == 1
+        latch.release()
+        assert entered.wait(timeout=5)
+        thread.join(timeout=5)
+        assert latch.waits == 1
+        assert not latch.locked
 
-    def test_suspend_without_reads_is_noop(self):
-        lock = RWLock()
-        assert lock.suspend_reads() == 0
-        lock.resume_reads(0)  # must not acquire anything
-        assert run_with_timeout(lambda: lock.write_lock().__enter__())
-
-    def test_suspend_preserves_depth(self):
-        lock = RWLock()
-        lock.acquire_read()
-        lock.acquire_read()
-        depth = lock.suspend_reads()
-        assert depth == 2
-        lock.resume_reads(depth)
-        lock.release_read()
-        lock.release_read()
-        assert run_with_timeout(lambda: lock.write_lock().__enter__())
-
-    def test_suspend_under_write_is_noop(self):
-        lock = RWLock()
-        with lock.write_lock():
-            with lock.read_lock():
-                assert lock.suspend_reads() == 0
-
-
-class TestStress:
-    def test_readers_and_writers_interleave_without_deadlock(self):
-        lock = RWLock()
-        counter = {"value": 0, "max_concurrent_writers": 0}
-        active_writers = []
-        errors = []
-
-        def reader():
-            try:
-                for __ in range(200):
-                    with lock.read_lock():
-                        assert not active_writers
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
+    def test_writers_exclude_each_other(self):
+        latch = CommitLatch()
+        inside = []
+        overlaps = []
 
         def writer():
-            try:
-                for __ in range(50):
-                    with lock.write_lock():
-                        active_writers.append(1)
-                        counter["value"] += 1
-                        active_writers.pop()
-            except Exception as exc:  # pragma: no cover - failure path
-                errors.append(exc)
+            for __ in range(200):
+                with latch.held():
+                    inside.append(1)
+                    if len(inside) > 1:
+                        overlaps.append(len(inside))
+                    inside.pop()
 
-        threads = [threading.Thread(target=reader) for __ in range(6)]
-        threads += [threading.Thread(target=writer) for __ in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        assert not errors
-        assert counter["value"] == 150
+        threads = [threading.Thread(target=writer) for __ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert overlaps == []
+        assert not latch.locked

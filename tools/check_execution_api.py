@@ -10,10 +10,10 @@ prepared-statement amortisation actually see the traffic.
 
 A second rule guards the MVCC concurrency model: reader/writer
 coordination goes through ``Database.read_locked`` (snapshot pins) and
-``Database.write_locked`` (the commit latch).  Direct ``RWLock``
-construction or acquisition outside ``repro/db/locks.py`` and the
-snapshot layer would reintroduce the serialised read path the MVCC
-store exists to remove.
+``Database.write_locked`` (the commit latch).  A readers–writer lock
+(the ``RWLock`` the MVCC store replaced, or its acquisition methods)
+outside ``repro/db/locks.py`` and the snapshot layer would reintroduce
+the serialised read path the MVCC store exists to remove.
 
 Run from the repository root (CI does)::
 
@@ -51,8 +51,7 @@ LOCK_ALLOWED = {
 }
 
 # Direct RWLock usage: construction, method-level acquisition and the
-# old suspend/resume dance.  (The bare re-export in repro/db/__init__.py
-# carries no call and stays lint-clean.)
+# old suspend/resume dance.
 LOCK_FORBIDDEN = (
     re.compile(r"\bRWLock\s*\("),
     re.compile(
