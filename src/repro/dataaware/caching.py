@@ -2,12 +2,16 @@
 
 Computing the per-row value sets of a joined attribute (e.g. actor names
 per screening) is the expensive part of a policy step.  The key
-observation is that the *full-table* map only depends on the database
-contents, not on the current candidate subset — so we compute it once per
-data version and slice it per candidate set.  Combined with the
-version-stamped :class:`~repro.db.statistics.StatisticsCatalog`, this is
-what keeps the average response latency at "only a few milliseconds"
-(Section 4) while still reflecting every committed update.
+observation is that the *full-table* map only depends on the contents
+of the tables on its join path, not on the current candidate subset —
+so we compute it once per commit to those tables and slice it per
+candidate set.  Each entry stamps on the commit stamps of the root and
+every table its join path reads: a booking, which writes only
+``reservation``, leaves ``screening`` → ``movie.title`` a hit.
+Combined with the per-table stamps of the
+:class:`~repro.db.statistics.StatisticsCatalog`, this is what keeps the
+average response latency at "only a few milliseconds" (Section 4) while
+still reflecting every committed update.
 
 The cache is shared by every session of a serving runtime, so it is safe
 for concurrent readers via the shared
@@ -18,9 +22,10 @@ from __future__ import annotations
 
 import threading
 
-from repro.dataaware.join_graph import JoinPlanner, map_values
+from repro.dataaware.join_graph import JoinPath, JoinPlanner, map_values
 from repro.db.catalog import Catalog, ColumnRef
 from repro.db.database import Database
+from repro.db.table import Table
 from repro.db.versioncache import VersionStampedCache
 
 __all__ = ["AttributeValueCache"]
@@ -36,6 +41,11 @@ class AttributeValueCache:
         self._planners: dict[str, JoinPlanner] = {}
         # (root_table, attribute) -> rid -> value set
         self._maps = VersionStampedCache(database)
+        # (root_table, attribute) -> its join path (None when the
+        # attribute is unreachable) and the tables reading it touches
+        self._reads: dict[
+            tuple[str, ColumnRef], tuple[JoinPath | None, tuple[Table, ...]]
+        ] = {}
 
     @property
     def hits(self) -> int:
@@ -58,27 +68,25 @@ class AttributeValueCache:
     ) -> dict[int, frozenset]:
         """``row_id -> value set`` of ``attribute`` for *all* rows of the root.
 
-        Recomputed lazily whenever the database's data version moves.
+        Recomputed lazily after a commit to the root or to a table on
+        the join path to ``attribute``.
         """
+        key = (root_table, attribute)
+        reads = self._reads.get(key)
+        if reads is None:
+            path = self.planner(root_table).path_to(attribute.table)
+            names = (root_table,) if path is None else path.tables
+            reads = (path, tuple(self._database.table(n) for n in names))
+            self._reads[key] = reads
+        path, tables = reads
         return self._maps.lookup(
-            (root_table, attribute),
-            lambda: self._compute(root_table, attribute),
+            key, lambda: self._compute(root_table, attribute, path), tables
         )
 
     def _compute(
-        self, root_table: str, attribute: ColumnRef
+        self, root_table: str, attribute: ColumnRef, path: JoinPath | None
     ) -> dict[int, frozenset]:
         row_ids = self._database.table(root_table).row_ids()
-        if attribute.table == root_table:
-            table = self._database.table(root_table)
-            value_map = {}
-            for rid in row_ids:
-                value = table.get(rid).get(attribute.column)
-                value_map[rid] = (
-                    frozenset((value,)) if value is not None else frozenset()
-                )
-            return value_map
-        path = self.planner(root_table).path_to(attribute.table)
         if path is None:
             return {rid: frozenset() for rid in row_ids}
         return map_values(self._database, path, attribute, row_ids)

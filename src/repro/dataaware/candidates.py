@@ -84,6 +84,15 @@ def _text_matches(candidate: str, needle: str, fuzzy: float) -> bool:
     return True
 
 
+def _root_stamp(database: Database, table: str) -> int | None:
+    """``table``'s commit stamp at the caller's snapshot, or ``None``
+    inside the caller's own write scope, whose reads include writes the
+    stamp does not cover yet."""
+    if database.commit_latch.held_by_current_thread:
+        return None
+    return database.commit_stamp((database.table(table),))
+
+
 class CandidateSet:
     """Immutable set of candidate root rows plus applied constraints."""
 
@@ -97,6 +106,7 @@ class CandidateSet:
         fuzzy_threshold: float = 0.82,
         planner: JoinPlanner | None = None,
         shared_cache: AttributeValueCache | None = None,
+        stamp: int | None = None,
     ) -> None:
         self._database = database
         self._catalog = catalog
@@ -112,6 +122,10 @@ class CandidateSet:
         else:
             self._planner = JoinPlanner(catalog, table)
         self._value_cache: dict[ColumnRef, dict[int, frozenset]] = {}
+        # The root table's commit stamp at which every row id was known
+        # to exist (None: unknown), so prune_missing can skip its
+        # has_row probes while no commit has touched the table.
+        self._stamp = stamp
 
     # ------------------------------------------------------------------
     @classmethod
@@ -133,6 +147,9 @@ class CandidateSet:
         indexes instead of materialising every row id and filtering
         afterwards.
         """
+        # Stamped before the rows are read: a commit in between leaves
+        # the stamp behind, so the next prune probes rather than skips.
+        stamp = _root_stamp(database, table)
         if where is None:
             row_ids = tuple(database.table(table).row_ids())
         else:
@@ -141,7 +158,8 @@ class CandidateSet:
             )
             row_ids = tuple(result.row_ids())
         return cls(database, catalog, table, row_ids,
-                   fuzzy_threshold=fuzzy_threshold, shared_cache=shared_cache)
+                   fuzzy_threshold=fuzzy_threshold, shared_cache=shared_cache,
+                   stamp=stamp)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -294,6 +312,7 @@ class CandidateSet:
             self.fuzzy_threshold,
             self._planner,
             self._shared_cache,
+            self._stamp,
         )
 
     def _matches(self, candidate_values: frozenset, needle: Any, dtype: DataType) -> bool:
@@ -311,13 +330,21 @@ class CandidateSet:
         Snapshots of row ids can go stale between dialogue turns when a
         *different* session's committed transaction deletes rows (e.g.
         two users cancelling reservations of the same table).  Returns
-        ``self`` unchanged when every candidate is still present.
+        ``self`` unchanged when every candidate is still present, without
+        probing a row when no commit has touched the table since the
+        candidates were last known present.
         """
+        stamp = _root_stamp(self._database, self.table)
+        if stamp is not None and stamp == self._stamp:
+            return self
         table = self._database.table(self.table)
         surviving = tuple(
             rid for rid in self.row_ids if table.has_row(rid)
         )
         if len(surviving) == len(self.row_ids):
+            # Every row is present as of ``stamp``: a validation memo,
+            # not a change to the (immutable) candidates.
+            self._stamp = stamp
             return self
         return CandidateSet(
             self._database,
@@ -328,6 +355,7 @@ class CandidateSet:
             self.fuzzy_threshold,
             self._planner,
             self._shared_cache,
+            stamp,
         )
 
     def reset(self) -> "CandidateSet":

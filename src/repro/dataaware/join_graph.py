@@ -55,6 +55,11 @@ class JoinPath:
     def length(self) -> int:
         return len(self.steps)
 
+    @property
+    def tables(self) -> tuple[str, ...]:
+        """Every table :func:`map_values` reads along this path."""
+        return (self.root,) + tuple(step.to_table for step in self.steps)
+
 
 class JoinPlanner:
     """Computes and caches FK join paths from one root table."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Callable, ContextManager, Iterator
+from typing import Any, Callable, ContextManager, Iterable, Iterator
 
 from repro.db.locks import CommitLatch, LockUpgradeError
 from repro.db.procedures import ProcedureRegistry
@@ -362,6 +362,28 @@ class Database:
         """Monotonic counter bumped on every committed (or auto)
         mutation — the MVCC generation clock's committed generation."""
         return self.clock.current
+
+    def commit_stamp(self, tables: Iterable[Table]) -> int:
+        """The newest committed change to ``tables`` this thread sees.
+
+        ``max`` over the tables of ``min(changed_at, generation)``, the
+        generation being the calling thread's snapshot.  Two reads
+        that return the same stamp see identical contents in these
+        tables: a commit to one of them at a generation past the older
+        read lifts the newer read's stamp past it, while commits to
+        other tables, and uncommitted writes (``changed_at`` is the
+        pending generation), leave it alone.  The data-derived caches
+        stamp their entries with it.
+        """
+        generation = self.snapshot_version()
+        stamp = 0
+        for table in tables:
+            changed = table.changed_at
+            if changed > generation:
+                changed = generation
+            if changed > stamp:
+                stamp = changed
+        return stamp
 
     def on_change(self, listener: Callable[[], None]) -> None:
         """Register a callback fired whenever data changes."""

@@ -10,14 +10,16 @@ primitives for that live here:
   common values, null fraction, histogram) as a query optimizer would
   keep, used as the *a-priori* signal for deciding which related tables
   are worth joining in,
-* :class:`StatisticsCatalog` — lazily computed, version-stamped statistics
-  for a whole database; recomputed automatically when the data version
-  changes, which is what lets the agent adapt without retraining.
+* :class:`StatisticsCatalog` — lazily computed statistics for a whole
+  database, each entry stamped on its own table's commit stamp and
+  recomputed automatically after a commit to that table, which is what
+  lets the agent adapt without retraining.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -218,23 +220,10 @@ def compute_column_statistics(
     most_common_k: int = 16,
 ) -> ColumnStatistics:
     """Build :class:`ColumnStatistics` from raw column values."""
-    non_null = [v for v in values if v is not None]
-    counts = Counter(non_null)
-    try:
-        min_value = min(non_null) if non_null else None
-        max_value = max(non_null) if non_null else None
-    except TypeError:  # mixed/unorderable values
-        min_value = max_value = None
-    return ColumnStatistics(
-        table=table_name,
-        column=column,
-        row_count=len(values),
-        distinct_count=len(counts),
-        null_count=len(values) - len(non_null),
-        entropy=entropy(list(values)),
-        most_common=tuple(counts.most_common(most_common_k)),
-        min_value=min_value,
-        max_value=max_value,
+    counts = Counter(values)
+    null_count = counts.pop(None, 0)
+    return column_statistics_from_counts(
+        table_name, column, counts, null_count, most_common_k
     )
 
 
@@ -249,9 +238,13 @@ def column_statistics_from_counts(
 
     The sealed-storage path: :meth:`Table.column_counts` merges the
     epoch-memoised sealed counter with the delta, so the catalog never
-    rescans a sealed column — every figure here derives from the
-    ``value -> count`` histogram exactly as the rescan derives it from
-    the raw values (NULLs stay their own entropy category).
+    rescans a sealed column; the rescan path counts the raw values and
+    lands here too (NULLs stay their own entropy category).  No figure
+    depends on the order the histogram was filled in — scan order
+    follows storage history (slot reuse, compaction, the sealed/delta
+    split), and equal contents must give equal statistics: ties in
+    ``most_common`` rank by value and the entropy is a correctly
+    rounded sum.
     """
     non_null = sum(counts.values())
     row_count = non_null + null_count
@@ -262,12 +255,16 @@ def column_statistics_from_counts(
         min_value = max_value = None
     bits = 0.0
     if row_count:
-        for count in counts.values():
-            p = count / row_count
-            bits -= p * math.log2(p)
+        shares = [count / row_count for count in counts.values()]
         if null_count:
-            p = null_count / row_count
-            bits -= p * math.log2(p)
+            shares.append(null_count / row_count)
+        bits = 0.0 - math.fsum(p * math.log2(p) for p in shares)
+    try:
+        most_common = heapq.nsmallest(
+            most_common_k, counts.items(), key=_rank
+        )
+    except TypeError:  # tied unorderable values
+        most_common = counts.most_common(most_common_k)
     return ColumnStatistics(
         table=table_name,
         column=column,
@@ -275,10 +272,14 @@ def column_statistics_from_counts(
         distinct_count=len(counts),
         null_count=null_count,
         entropy=bits,
-        most_common=tuple(counts.most_common(most_common_k)),
+        most_common=tuple(most_common),
         min_value=min_value,
         max_value=max_value,
     )
+
+
+def _rank(item: tuple[Any, int]) -> tuple[int, Any]:
+    return -item[1], item[0]
 
 
 @dataclass(frozen=True)
@@ -294,10 +295,11 @@ class TableStatistics:
 
 
 class StatisticsCatalog:
-    """Version-stamped statistics over a whole database.
+    """Per-table-stamped statistics over a whole database.
 
-    Statistics are computed lazily per table and cached until the
-    database's data version changes.  This is the "integrated caching
+    Statistics are computed lazily per table (and per column) and cached
+    until a commit changes that table; commits to other tables leave
+    them valid.  This is the "integrated caching
     strategy" of Section 4 — the policy can consult statistics on every
     turn at millisecond latency while staying consistent with updates.
 
@@ -321,14 +323,16 @@ class StatisticsCatalog:
     def table(self, table_name: str) -> TableStatistics:
         """Statistics for ``table_name``, recomputing if stale."""
         return self._cache.lookup(
-            table_name, lambda: self._compute(table_name)
+            table_name,
+            lambda: self._compute(table_name),
+            (self._database.table(table_name),),
         )
 
     def column(self, table_name: str, column: str) -> ColumnStatistics:
         """Statistics for one column, cached independently.
 
         The planner prices one predicate column at a time; computing
-        (and re-computing, every commit) the whole table's histograms
+        (and re-computing, every commit to it) the whole table's histograms
         for that would make each OLTP commit pay for the widest
         key-like column nobody asked about.  Per-column entries share
         the catalog's version-stamped cache with the table entries.
@@ -336,6 +340,7 @@ class StatisticsCatalog:
         return self._cache.lookup(
             (table_name, column),
             lambda: self._compute_column(table_name, column),
+            (self._database.table(table_name),),
         )
 
     def matches_per_key(self, table_name: str, column: str) -> float:

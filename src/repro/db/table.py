@@ -341,6 +341,8 @@ class Table:
         self._deleted: list[int | None] = []
         self._dead: set[int] = set()
         self._max_stamp = 0
+        # The generation of the newest logical change (see _changed()).
+        self.changed_at = 0
         # Standalone tables own a private clock and advance it per
         # mutation (single-threaded semantics, immediate reclamation);
         # Database rebinds both to its shared clock/snapshot manager.
@@ -948,9 +950,22 @@ class Table:
 
     def _stamp(self) -> int:
         """The pending generation, recorded as this table's newest stamp."""
-        stamp = self._clock.pending
+        stamp = self._changed()
         if stamp > self._max_stamp:
             self._max_stamp = stamp
+        return stamp
+
+    def _changed(self) -> int:
+        """Latch-held: record a logical change at the pending generation.
+
+        ``changed_at`` is the per-table commit stamp the data-derived
+        caches key on (:meth:`Database.commit_stamp`).  ``_max_stamp``
+        cannot serve: in-place updates leave it alone and vacuum lowers
+        it, so an old stamp could match data that has since changed.
+        """
+        stamp = self._clock.pending
+        if stamp > self.changed_at:
+            self.changed_at = stamp
         return stamp
 
     def insert(self, values: dict[str, Any]) -> int:
@@ -1029,6 +1044,7 @@ class Table:
     ) -> None:
         """Latch-held: overwrite the slot's cells (no visible snapshot)."""
         self._mutations += 1
+        self._changed()
         for column, index in self._indexes.items():
             if old[column] != new[column]:
                 index.remove(old[column], row_id)

@@ -61,10 +61,10 @@ class EntityLinker:
         self._vocabulary = vocabulary
         self._fuzzy_threshold = fuzzy_threshold
         self.reference_date = reference_date
-        # slot -> MatchIndex over the canonical values; version-stamped
-        # like the other shared caches, since one linker serves every
-        # concurrent session and must see committed inserts (a newly
-        # added movie title must become linkable).
+        # slot -> MatchIndex over the canonical values; stamped on the
+        # slot attribute's table like the other shared caches, since one
+        # linker serves every concurrent session and must see committed
+        # inserts (a newly added movie title must become linkable).
         self._text_pools = VersionStampedCache(database)
 
     def link(self, slot: str, raw: str) -> LinkedValue | None:
@@ -111,7 +111,13 @@ class EntityLinker:
                            corrected=corrected)
 
     def _text_pool(self, slot: str) -> MatchIndex:
-        return self._text_pools.lookup(slot, lambda: self._build_pool(slot))
+        attribute = self._vocabulary.source(slot).attribute
+        assert attribute is not None
+        return self._text_pools.lookup(
+            slot,
+            lambda: self._build_pool(slot),
+            (self._database.table(attribute.table),),
+        )
 
     def _build_pool(self, slot: str) -> MatchIndex:
         source = self._vocabulary.source(slot)
@@ -121,8 +127,8 @@ class EntityLinker:
         # A grouped streaming aggregate prepared once per attribute and
         # pooled on the shared connection: one row per *distinct*
         # column value, no per-row dict materialisation.  Rebuilds
-        # happen once per data version per slot, so even that cost is
-        # off the turn path.
+        # happen once per commit to the slot's table, so even that cost
+        # is off the turn path.
         from repro.db import api
         from repro.db.aggregation import count
 
@@ -138,8 +144,8 @@ class EntityLinker:
         return MatchIndex(sorted(values))
 
     def invalidate(self) -> None:
-        """Drop cached value pools (they also refresh automatically when
-        the data version moves)."""
+        """Drop cached value pools (they also refresh automatically after
+        a commit to their table)."""
         self._text_pools.invalidate()
 
 

@@ -93,6 +93,18 @@ class TestColumnStatistics:
         assert unique.is_key_like
         assert not repeated.is_key_like
 
+    def test_independent_of_scan_order(self):
+        # Scan order follows storage history (slot reuse, compaction),
+        # so equal contents must summarise equally: tied counts beyond
+        # the most-common cut and the entropy sum included.
+        values = [f"v{i % 7}" for i in range(40)] + [None, None]
+        forward = compute_column_statistics("t", "c", values, most_common_k=3)
+        backward = compute_column_statistics(
+            "t", "c", values[::-1], most_common_k=3
+        )
+        assert forward == backward
+        assert [value for value, __ in forward.most_common] == ["v0", "v1", "v2"]
+
     def test_entropy_matches_function(self):
         values = ["a", "b", "b"]
         stats = compute_column_statistics("t", "c", values)
